@@ -216,11 +216,7 @@ func (st *Study) EvaluateSpec(p Platform, numEnvs int, seed uint64) (sched.Spec,
 func (st *Study) evaluateExec(p Platform, work map[string]evalCell, iterations int) sched.Exec[*harness.Result] {
 	return func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (*harness.Result, error) {
 		w := work[c.Key]
-		r, err := p.runner(w.env)
-		if err != nil {
-			return nil, err
-		}
-		return r.RunCtx(ctx, w.mutant, iterations, rng)
+		return st.run(ctx, p, w.env, w.mutant, iterations, rng)
 	}
 }
 
@@ -338,11 +334,7 @@ func (st *Study) FleetConformanceSpec(platforms []Platform, seed uint64) (sched.
 func (st *Study) conformanceExec(env harness.Params, work map[string]confCell, iterations int) sched.Exec[Finding] {
 	return func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (Finding, error) {
 		w := work[c.Key]
-		r, err := w.platform.runner(env)
-		if err != nil {
-			return Finding{}, err
-		}
-		res, err := r.RunCtx(ctx, w.test, iterations, rng)
+		res, err := st.run(ctx, w.platform, env, w.test, iterations, rng)
 		if err != nil {
 			return Finding{}, err
 		}

@@ -15,6 +15,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -27,21 +28,57 @@ import (
 	"repro/internal/sched"
 	"repro/internal/tuning"
 	"repro/internal/wgsl"
+	"repro/internal/xrand"
 )
 
 // Study bundles the generated suite with the device fleet.
 type Study struct {
 	// Suite is the generated 20-conformance/32-mutant test suite.
 	Suite *mutation.Suite
+
+	// runners supplies conformance and evaluate cells with warm
+	// runners; nil builds a fresh device and runner per cell.
+	runners *harness.Pool[runnerKey]
 }
 
-// NewStudy generates the test suite.
+// NewStudy generates the test suite. Every study it returns draws
+// warm runners from one process-wide pool, so local campaigns, dist
+// workers and serve jobs reuse each other's runners; like a sync.Pool,
+// the pool never changes a result, only what it costs.
 func NewStudy() (*Study, error) {
 	s, err := mutation.Generate()
 	if err != nil {
 		return nil, err
 	}
-	return &Study{Suite: s}, nil
+	return &Study{Suite: s, runners: &sharedRunners}, nil
+}
+
+// runnerKey identifies interchangeable runners: one platform (device,
+// defects, toolchain build, fault model) in one environment.
+type runnerKey struct {
+	platform Platform
+	env      harness.Params
+}
+
+// sharedRunners is the process-wide warm-runner pool of NewStudy.
+var sharedRunners harness.Pool[runnerKey]
+
+// run executes one campaign cell's test on the platform in the
+// environment, on a warm runner from the study's pool when one is
+// idle. The runner goes back to the pool afterwards, whatever the
+// outcome: the next cell rebuilds all of its per-iteration state.
+func (st *Study) run(ctx context.Context, p Platform, env harness.Params, test *litmus.Test, iterations int, rng *xrand.Rand) (*harness.Result, error) {
+	key := runnerKey{platform: p, env: env}
+	r := st.runners.Get(key)
+	if r == nil {
+		var err error
+		if r, err = p.runner(env); err != nil {
+			return nil, err
+		}
+	}
+	res, err := r.RunCtx(ctx, test, iterations, rng)
+	st.runners.Put(key, r)
+	return res, err
 }
 
 // Platform describes a device under test: a profile, injected device

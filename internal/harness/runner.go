@@ -24,7 +24,10 @@ type Runner struct {
 	Params Params
 	// Lower, when set, post-processes every generated thread program —
 	// the hook through which the wgsl toolchain's backend lowering
-	// (including defective driver builds) is applied.
+	// (including defective driver builds) is applied. The program it is
+	// handed lives in runner-owned scratch that the next iteration
+	// rebuilds: the hook may rewrite it in place and return a prefix of
+	// it (the allocation-free form), but must not retain it.
 	Lower func(gpu.Program) gpu.Program
 	// Classifier memoizes outcome classification; nil means the
 	// process-wide shared classifier, so classifications are reused

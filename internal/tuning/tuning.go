@@ -380,27 +380,37 @@ func buildCampaign(cfg *Config, tests []*litmus.Test) (sched.Spec, map[string]tu
 // device — configured with the run's fault model, when any — and
 // returns its dataset record. It is the cold path; scheduled campaigns
 // run cells through per-worker scratch (workerScratch) instead, which
-// reuses warm devices and runners.
+// draws warm devices and runners from the shared pool.
 func runCell(ctx context.Context, w tuningCell, faults *gpu.FaultModel, rng *xrand.Rand) (Record, error) {
-	prof, ok := gpu.ProfileByName(w.device)
-	if !ok {
-		return Record{}, fmt.Errorf("tuning: unknown device %q", w.device)
-	}
-	dev, err := gpu.NewDevice(prof, gpu.Bugs{})
+	runner, err := newRunner(w, faults)
 	if err != nil {
 		return Record{}, err
 	}
+	var res harness.Result
+	return recordOf(ctx, w, runner, &res, rng)
+}
+
+// newRunner builds a fresh device, with the fault model when any, and
+// a runner for the cell's environment on it.
+func newRunner(w tuningCell, faults *gpu.FaultModel) (*harness.Runner, error) {
+	prof, ok := gpu.ProfileByName(w.device)
+	if !ok {
+		return nil, fmt.Errorf("tuning: unknown device %q", w.device)
+	}
+	dev, err := gpu.NewDevice(prof, gpu.Bugs{})
+	if err != nil {
+		return nil, err
+	}
 	if faults != nil {
 		if err := dev.SetFaults(*faults); err != nil {
-			return Record{}, err
+			return nil, err
 		}
 	}
 	runner, err := harness.NewRunner(dev, w.env)
 	if err != nil {
-		return Record{}, fmt.Errorf("tuning: %s: %w", w.envID, err)
+		return nil, fmt.Errorf("tuning: %s: %w", w.envID, err)
 	}
-	var res harness.Result
-	return recordOf(ctx, w, runner, &res, rng)
+	return runner, nil
 }
 
 // recordOf runs the cell on the given (possibly warm) runner, writing
@@ -427,33 +437,27 @@ func recordOf(ctx context.Context, w tuningCell, runner *harness.Runner, res *ha
 	}, nil
 }
 
-// runnerKey identifies one warm runner in a worker's cache: runners are
-// shared across tests but are specific to a device and environment.
+// runnerKey identifies interchangeable tuning runners: tuning devices
+// carry no defects or toolchain, so the device, environment and fault
+// model determine them.
 type runnerKey struct {
 	device string
-	envID  string
+	env    harness.Params
+	faults gpu.FaultModel
 }
 
-// maxWorkerRunners bounds each worker's warm-runner cache. A runner's
-// scratch retains the high-water memory of its environment (threads ×
-// programs × registers), so an unbounded cache at paper scale would
-// pin hundreds of megabytes per worker; 16 covers the common
-// device×family working set while a worker walks the campaign.
-const maxWorkerRunners = 16
+// sharedRunners is the process-wide warm-runner pool every tuning
+// worker draws from; like a sync.Pool, it never changes a record, only
+// what it costs.
+var sharedRunners harness.Pool[runnerKey]
 
-// workerScratch is one scheduler worker's private warm state: a bounded
-// cache of device+runner pairs keyed by (device, environment) and a
-// reusable Result. Cells that hit the cache run allocation-free in the
-// steady state. Correctness under reuse relies on two invariants: the
-// executor scratch resets consume no randomness, and SetFaults resets
-// the device's injected-fault escalation count, so a warm device is
-// draw-for-draw and state-for-state identical to a fresh one.
+// workerScratch is one scheduler worker's private warm state: a
+// reusable Result. Its runners come from sharedRunners, so cells whose
+// runner is warm run allocation-free in the steady state.
 type workerScratch struct {
-	work    map[string]tuningCell
-	faults  *gpu.FaultModel
-	runners map[runnerKey]*harness.Runner
-	order   []runnerKey // insertion order, for FIFO eviction
-	res     harness.Result
+	work   map[string]tuningCell
+	faults *gpu.FaultModel
+	res    harness.Result
 }
 
 // exec is the sched.Exec this worker runs cells through.
@@ -462,53 +466,20 @@ func (s *workerScratch) exec(ctx context.Context, c sched.Cell, rng *xrand.Rand)
 	if !ok {
 		return Record{}, fmt.Errorf("tuning: unknown cell %q", c.Key)
 	}
-	runner, err := s.runner(w)
-	if err != nil {
-		return Record{}, err
-	}
-	return recordOf(ctx, w, runner, &s.res, rng)
-}
-
-// runner returns the worker's warm runner for the cell's device and
-// environment, creating (and caching) it on first use. Reused devices
-// get their fault model re-installed, which resets the fault-escalation
-// counter exactly as a fresh device would start.
-func (s *workerScratch) runner(w tuningCell) (*harness.Runner, error) {
-	key := runnerKey{device: w.device, envID: w.envID}
-	if r, ok := s.runners[key]; ok {
-		if s.faults != nil {
-			if err := r.Device.SetFaults(*s.faults); err != nil {
-				return nil, err
-			}
-		}
-		return r, nil
-	}
-	prof, ok := gpu.ProfileByName(w.device)
-	if !ok {
-		return nil, fmt.Errorf("tuning: unknown device %q", w.device)
-	}
-	dev, err := gpu.NewDevice(prof, gpu.Bugs{})
-	if err != nil {
-		return nil, err
-	}
+	key := runnerKey{device: w.device, env: w.env}
 	if s.faults != nil {
-		if err := dev.SetFaults(*s.faults); err != nil {
-			return nil, err
+		key.faults = *s.faults
+	}
+	runner := sharedRunners.Get(key)
+	if runner == nil {
+		var err error
+		if runner, err = newRunner(w, s.faults); err != nil {
+			return Record{}, err
 		}
 	}
-	r, err := harness.NewRunner(dev, w.env)
-	if err != nil {
-		return nil, fmt.Errorf("tuning: %s: %w", w.envID, err)
-	}
-	if len(s.order) >= maxWorkerRunners {
-		oldest := s.order[0]
-		copy(s.order, s.order[1:])
-		s.order = s.order[:len(s.order)-1]
-		delete(s.runners, oldest)
-	}
-	s.runners[key] = r
-	s.order = append(s.order, key)
-	return r, nil
+	rec, err := recordOf(ctx, w, runner, &s.res, rng)
+	sharedRunners.Put(key, runner)
+	return rec, err
 }
 
 // CampaignSpec returns the scheduler spec RunCampaign executes for the
@@ -564,17 +535,13 @@ func RunCampaignCtx(ctx context.Context, cfg Config, tests []*litmus.Test, opts 
 		OnProgress:    opts.OnProgress,
 		ProgressEvery: opts.ProgressEvery,
 		Instances:     func(r Record) int { return r.Instances },
-		// Each worker gets private warm scratch — devices, runners and a
-		// Result reused across that worker's cells — so the steady-state
+		// Each worker gets a private Result reused across its cells and
+		// draws warm runners from the shared pool, so the steady-state
 		// campaign loop stops allocating. Cell randomness derives purely
-		// from (seed, cell key), so which worker's scratch a cell lands
+		// from (seed, cell key), so which worker or runner a cell lands
 		// on cannot change its record.
 		NewWorkerExec: func() sched.Exec[Record] {
-			s := &workerScratch{
-				work:    work,
-				faults:  cfg.Faults,
-				runners: map[runnerKey]*harness.Runner{},
-			}
+			s := &workerScratch{work: work, faults: cfg.Faults}
 			return s.exec
 		},
 	}

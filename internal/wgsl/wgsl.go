@@ -9,16 +9,21 @@
 //     the parallel testing shader of Sec. 4.1 — storage buffers, the
 //     co-prime permutation id math, and the per-role atomic operations —
 //     mirroring the shaders the paper's artifact generates.
-//   - A lowering toolchain: Toolchain applies backend passes to kernel
-//     programs. The Vulkan backend models SPIR-V memory semantics on
-//     barriers; the defective driver version zeroes those semantics in
-//     an intermediate representation, eliding the fences — the compiler
-//     bug behind the MP-relacq discovery (Fig. 1b), which led to an AMD
-//     driver fix and a WebGPU specification change.
+//   - A lowering toolchain: Toolchain lowers kernel programs for a
+//     backend in one fused loop that annotates, erases, encodes and
+//     folds fences in place. The Vulkan backend models SPIR-V memory
+//     semantics on barriers; the defective driver version zeroes those
+//     semantics in an intermediate representation, eliding the fences —
+//     the compiler bug behind the MP-relacq discovery (Fig. 1b), which
+//     led to an AMD driver fix and a WebGPU specification change.
+//     LowerFunc is the in-place, allocation-free hook the harness runs
+//     on every launch; Lower works on a copy and reports the stage
+//     names for diagnostics.
 package wgsl
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/gpu"
@@ -57,173 +62,66 @@ func NewToolchain(p gpu.Profile, v DriverVersion) *Toolchain {
 	return &Toolchain{Backend: p.Backend, Driver: v}
 }
 
-// Pass is one lowering stage over a kernel program.
-type Pass interface {
-	// Name identifies the pass in lowering logs.
-	Name() string
-	// Apply transforms the program. Implementations must not mutate
-	// the input slice.
-	Apply(gpu.Program) gpu.Program
-}
-
-// Passes returns the backend's lowering pipeline in application order.
-func (tc *Toolchain) Passes() []Pass {
-	switch tc.Backend {
-	case gpu.Vulkan:
-		return []Pass{
-			annotateBarrierSemantics{},
-			spirvMemorySemantics{drop: tc.Driver == DriverFenceDropping},
-			encodeFences{},
-			foldRedundantFences{},
-		}
-	case gpu.Metal:
-		return []Pass{
-			mslThreadgroupLowering{},
-			foldRedundantFences{},
-		}
-	default: // HLSL
-		return []Pass{
-			hlslDeviceMemoryBarrier{},
-			foldRedundantFences{},
-		}
-	}
-}
-
-// Lower runs the pipeline over a program and returns the result plus
-// the pass names applied (for diagnostics).
+// Lower runs the backend pipeline over a copy of p and returns the
+// lowered program plus the names of the stages applied, for
+// diagnostics. p is never modified.
 func (tc *Toolchain) Lower(p gpu.Program) (gpu.Program, []string) {
-	names := make([]string, 0, 4)
-	out := p
-	for _, pass := range tc.Passes() {
-		out = pass.Apply(out)
-		names = append(names, pass.Name())
-	}
-	return out, names
+	return tc.lower(slices.Clone(p)), tc.stageNames()
 }
 
-// LowerFunc adapts the toolchain to the harness's program hook.
+// LowerFunc adapts the toolchain to the harness's program hook. The
+// returned hook lowers in place: it rewrites the program it is given
+// and returns a prefix of it, so the harness's runner-owned program
+// buffers are reused and a launch's lowering allocates nothing.
 func (tc *Toolchain) LowerFunc() func(gpu.Program) gpu.Program {
-	return func(p gpu.Program) gpu.Program {
-		out, _ := tc.Lower(p)
-		return out
-	}
+	return tc.lower
 }
 
-// ---- intermediate fence encoding ----
-//
-// Backends stage fences through an annotated form: the Imm field of a
-// fence instruction carries memory-semantics flags during lowering
-// (mirroring SPIR-V's OpControlBarrier semantics operand). encodeFences
-// turns annotated fences back into plain fences, dropping any whose
-// semantics were erased.
-
-const (
-	semAcquireRelease = 0x8
-	semStorageBuffer  = 0x40
-)
-
-// annotateBarrierSemantics tags each fence with the release/acquire +
-// storage-class semantics WGSL's inter-workgroup model requires.
-type annotateBarrierSemantics struct{}
-
-func (annotateBarrierSemantics) Name() string { return "annotate-barrier-semantics" }
-
-func (annotateBarrierSemantics) Apply(p gpu.Program) gpu.Program {
-	out := make(gpu.Program, len(p))
-	copy(out, p)
-	for i := range out {
-		if out[i].Op == gpu.OpFence {
-			out[i].Imm = semAcquireRelease | semStorageBuffer
-		}
-	}
-	return out
-}
-
-// spirvMemorySemantics models the SPIR-V consumer; the defective
-// driver build zeroes the semantics operand while restructuring
-// barriers in its intermediate representation.
-type spirvMemorySemantics struct{ drop bool }
-
-func (s spirvMemorySemantics) Name() string {
-	if s.drop {
-		return "spirv-memory-semantics(defective)"
-	}
-	return "spirv-memory-semantics"
-}
-
-func (s spirvMemorySemantics) Apply(p gpu.Program) gpu.Program {
-	out := make(gpu.Program, len(p))
-	copy(out, p)
-	if !s.drop {
-		return out
-	}
-	for i := range out {
-		if out[i].Op == gpu.OpFence {
-			out[i].Imm = 0 // semantics lost in the IR round-trip
-		}
-	}
-	return out
-}
-
-// encodeFences materializes annotated fences: a fence without
-// release/acquire semantics orders nothing and is removed.
-type encodeFences struct{}
-
-func (encodeFences) Name() string { return "encode-fences" }
-
-func (encodeFences) Apply(p gpu.Program) gpu.Program {
-	out := make(gpu.Program, 0, len(p))
+// lower is the fused pipeline, filtering p in place: its output is
+// never longer than its input, so every kept instruction is written at
+// or before the position it was read from. Per fence, in pipeline
+// order, Vulkan annotates the release/acquire + storage-class
+// semantics WGSL's inter-workgroup model requires (SPIR-V's
+// OpControlBarrier semantics operand, carried in Imm); the defective
+// driver zeroes that operand while restructuring barriers in its
+// intermediate representation; encoding elides a fence left without
+// release/acquire semantics, since it orders nothing, and clears the
+// operand of the rest. Metal and HLSL map fences directly onto
+// threadgroup/device memory fences. Every backend then folds
+// immediately repeated fences, a standard legal cleanup.
+func (tc *Toolchain) lower(p gpu.Program) gpu.Program {
+	out := p[:0]
 	for _, in := range p {
 		if in.Op == gpu.OpFence {
-			if in.Imm&semAcquireRelease == 0 {
-				continue // elided: no ordering semantics survived
+			if tc.Backend == gpu.Vulkan {
+				if tc.Driver == DriverFenceDropping {
+					continue // semantics lost in the IR round-trip: elided
+				}
+				in.Imm = 0
 			}
-			in.Imm = 0
+			if len(out) > 0 && out[len(out)-1].Op == gpu.OpFence {
+				continue
+			}
 		}
 		out = append(out, in)
 	}
 	return out
 }
 
-// mslThreadgroupLowering is the Metal path: fences map directly onto
-// threadgroup/device memory fences and survive unchanged.
-type mslThreadgroupLowering struct{}
-
-func (mslThreadgroupLowering) Name() string { return "msl-threadgroup-lowering" }
-
-func (mslThreadgroupLowering) Apply(p gpu.Program) gpu.Program {
-	out := make(gpu.Program, len(p))
-	copy(out, p)
-	return out
-}
-
-// hlslDeviceMemoryBarrier is the Direct3D path: fences map onto
-// DeviceMemoryBarrier and survive unchanged.
-type hlslDeviceMemoryBarrier struct{}
-
-func (hlslDeviceMemoryBarrier) Name() string { return "hlsl-device-memory-barrier" }
-
-func (hlslDeviceMemoryBarrier) Apply(p gpu.Program) gpu.Program {
-	out := make(gpu.Program, len(p))
-	copy(out, p)
-	return out
-}
-
-// foldRedundantFences removes immediately repeated fences, a standard
-// legal cleanup every backend performs.
-type foldRedundantFences struct{}
-
-func (foldRedundantFences) Name() string { return "fold-redundant-fences" }
-
-func (foldRedundantFences) Apply(p gpu.Program) gpu.Program {
-	out := make(gpu.Program, 0, len(p))
-	for _, in := range p {
-		if in.Op == gpu.OpFence && len(out) > 0 && out[len(out)-1].Op == gpu.OpFence {
-			continue
+// stageNames names the pipeline stages lower performs, in order.
+func (tc *Toolchain) stageNames() []string {
+	switch tc.Backend {
+	case gpu.Vulkan:
+		spirv := "spirv-memory-semantics"
+		if tc.Driver == DriverFenceDropping {
+			spirv += "(defective)"
 		}
-		out = append(out, in)
+		return []string{"annotate-barrier-semantics", spirv, "encode-fences", "fold-redundant-fences"}
+	case gpu.Metal:
+		return []string{"msl-threadgroup-lowering", "fold-redundant-fences"}
+	default: // HLSL
+		return []string{"hlsl-device-memory-barrier", "fold-redundant-fences"}
 	}
-	return out
 }
 
 // ---- WGSL source emission ----

@@ -1,6 +1,8 @@
 package wgsl
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -95,9 +97,11 @@ func TestFoldRedundantFences(t *testing.T) {
 		{Op: gpu.OpFence}, {Op: gpu.OpFence}, {Op: gpu.OpFence},
 		{Op: gpu.OpLoad, Addr: 0, Reg: 0},
 	}
-	out := foldRedundantFences{}.Apply(p)
-	if countFences(out) != 2 {
-		t.Fatalf("folded to %d fences, want 2", countFences(out))
+	for _, backend := range []gpu.Backend{gpu.Metal, gpu.Vulkan, gpu.HLSL} {
+		out, _ := (&Toolchain{Backend: backend}).Lower(p)
+		if countFences(out) != 2 {
+			t.Fatalf("%v folded to %d fences, want 2", backend, countFences(out))
+		}
 	}
 }
 
@@ -205,14 +209,228 @@ func TestEmitShaderMentionsMutant(t *testing.T) {
 	}
 }
 
+// BenchmarkLowerVulkan measures the in-place hook the harness runs on
+// every thread program of every launch: each op refills one buffer
+// with 20 store+fence pairs and lowers it through the defective Vulkan
+// driver, the conformance path. Lowering allocates nothing.
 func BenchmarkLowerVulkan(b *testing.B) {
-	tc := &Toolchain{Backend: gpu.Vulkan, Driver: DriverConformant}
+	lower := (&Toolchain{Backend: gpu.Vulkan, Driver: DriverFenceDropping}).LowerFunc()
 	prog := make(gpu.Program, 0, 64)
-	for i := 0; i < 20; i++ {
-		prog = append(prog, gpu.Instr{Op: gpu.OpStore, Addr: uint32(i), Imm: 1}, gpu.Instr{Op: gpu.OpFence})
-	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tc.Lower(prog)
+		prog = prog[:0]
+		for j := 0; j < 20; j++ {
+			prog = append(prog, gpu.Instr{Op: gpu.OpStore, Addr: uint32(j), Imm: 1}, gpu.Instr{Op: gpu.OpFence})
+		}
+		prog = lower(prog)
+	}
+}
+
+// ---- reference pipeline ----
+//
+// The pass-by-pass lowering pipeline the fused Toolchain loop replaced,
+// kept as the reference implementation the equivalence property test
+// compares against. Every pass copies its input, so the reference
+// never aliases the program it is given.
+
+// Reference fences carry memory-semantics flags in Imm between passes.
+const (
+	semAcquireRelease = 0x8
+	semStorageBuffer  = 0x40
+)
+
+// pass is one reference lowering stage over a kernel program.
+type pass interface {
+	name() string
+	apply(gpu.Program) gpu.Program
+}
+
+// referencePasses is the backend's reference pipeline in application
+// order.
+func referencePasses(tc *Toolchain) []pass {
+	switch tc.Backend {
+	case gpu.Vulkan:
+		return []pass{
+			annotateBarrierSemantics{},
+			spirvMemorySemantics{drop: tc.Driver == DriverFenceDropping},
+			encodeFences{},
+			foldRedundantFences{},
+		}
+	case gpu.Metal:
+		return []pass{copyPass("msl-threadgroup-lowering"), foldRedundantFences{}}
+	default: // HLSL
+		return []pass{copyPass("hlsl-device-memory-barrier"), foldRedundantFences{}}
+	}
+}
+
+// referenceLower runs the reference pipeline and reports the pass
+// names applied.
+func referenceLower(tc *Toolchain, p gpu.Program) (gpu.Program, []string) {
+	var names []string
+	out := p
+	for _, ps := range referencePasses(tc) {
+		out = ps.apply(out)
+		names = append(names, ps.name())
+	}
+	return out, names
+}
+
+// annotateBarrierSemantics tags each fence with the release/acquire +
+// storage-class semantics WGSL's inter-workgroup model requires.
+type annotateBarrierSemantics struct{}
+
+func (annotateBarrierSemantics) name() string { return "annotate-barrier-semantics" }
+
+func (annotateBarrierSemantics) apply(p gpu.Program) gpu.Program {
+	out := slices.Clone(p)
+	for i := range out {
+		if out[i].Op == gpu.OpFence {
+			out[i].Imm = semAcquireRelease | semStorageBuffer
+		}
+	}
+	return out
+}
+
+// spirvMemorySemantics models the SPIR-V consumer; the defective
+// driver build zeroes the semantics operand.
+type spirvMemorySemantics struct{ drop bool }
+
+func (s spirvMemorySemantics) name() string {
+	if s.drop {
+		return "spirv-memory-semantics(defective)"
+	}
+	return "spirv-memory-semantics"
+}
+
+func (s spirvMemorySemantics) apply(p gpu.Program) gpu.Program {
+	out := slices.Clone(p)
+	if !s.drop {
+		return out
+	}
+	for i := range out {
+		if out[i].Op == gpu.OpFence {
+			out[i].Imm = 0
+		}
+	}
+	return out
+}
+
+// encodeFences removes fences without release/acquire semantics and
+// clears the annotation of the rest.
+type encodeFences struct{}
+
+func (encodeFences) name() string { return "encode-fences" }
+
+func (encodeFences) apply(p gpu.Program) gpu.Program {
+	out := make(gpu.Program, 0, len(p))
+	for _, in := range p {
+		if in.Op == gpu.OpFence {
+			if in.Imm&semAcquireRelease == 0 {
+				continue
+			}
+			in.Imm = 0
+		}
+		out = append(out, in)
+	}
+	return out
+}
+
+// copyPass is the Metal/HLSL mapping: fences survive unchanged.
+type copyPass string
+
+func (c copyPass) name() string { return string(c) }
+
+func (copyPass) apply(p gpu.Program) gpu.Program { return slices.Clone(p) }
+
+// foldRedundantFences removes immediately repeated fences.
+type foldRedundantFences struct{}
+
+func (foldRedundantFences) name() string { return "fold-redundant-fences" }
+
+func (foldRedundantFences) apply(p gpu.Program) gpu.Program {
+	out := make(gpu.Program, 0, len(p))
+	for _, in := range p {
+		if in.Op == gpu.OpFence && len(out) > 0 && out[len(out)-1].Op == gpu.OpFence {
+			continue
+		}
+		out = append(out, in)
+	}
+	return out
+}
+
+// randomProgram draws a program of up to 24 instructions over every
+// op, with fence runs placed at the start, middle and end and fences
+// that carry a non-zero Imm (which Vulkan must clear and the other
+// backends must keep).
+func randomProgram(rng *xrand.Rand) gpu.Program {
+	fences := func(p gpu.Program) gpu.Program {
+		for k := rng.Intn(4); k > 0; k-- {
+			p = append(p, gpu.Instr{Op: gpu.OpFence, Imm: uint32(rng.Intn(3)) * 0x48})
+		}
+		return p
+	}
+	body := func(p gpu.Program) gpu.Program {
+		for k := rng.Intn(8); k > 0; k-- {
+			in := gpu.Instr{
+				Op:   gpu.Op(rng.Intn(int(gpu.OpStressStore) + 1)),
+				Addr: uint32(rng.Intn(64)),
+				Imm:  uint32(rng.Intn(4)),
+				Reg:  uint16(rng.Intn(4)),
+			}
+			p = append(p, in)
+		}
+		return p
+	}
+	var p gpu.Program
+	p = fences(p)
+	p = body(p)
+	p = fences(p)
+	p = body(p)
+	return fences(p)
+}
+
+// TestFusedLoweringMatchesReference checks the fused in-place loop
+// against the pass-by-pass reference on every backend and driver, over
+// seeded random programs and the empty program: Lower must return the
+// reference program and pass names without touching its input, and
+// the LowerFunc hook must return the same program as a prefix view of
+// the buffer it was handed.
+func TestFusedLoweringMatchesReference(t *testing.T) {
+	rng := xrand.New(0x19a1)
+	progs := []gpu.Program{nil, {}}
+	for i := 0; i < 400; i++ {
+		progs = append(progs, randomProgram(rng))
+	}
+	for _, backend := range []gpu.Backend{gpu.Metal, gpu.Vulkan, gpu.HLSL} {
+		for _, driver := range []DriverVersion{DriverConformant, DriverFenceDropping} {
+			tc := &Toolchain{Backend: backend, Driver: driver}
+			lower := tc.LowerFunc()
+			for i, p := range progs {
+				label := fmt.Sprintf("%v/%v/program %d %v", backend, driver, i, p)
+				want, wantNames := referenceLower(tc, p)
+				in := slices.Clone(p)
+				got, names := tc.Lower(in)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: Lower = %v, reference %v", label, got, want)
+				}
+				if !slices.Equal(names, wantNames) {
+					t.Fatalf("%s: stage names %v, reference %v", label, names, wantNames)
+				}
+				if !slices.Equal(in, p) {
+					t.Fatalf("%s: Lower mutated its input to %v", label, in)
+				}
+				buf := slices.Clone(p)
+				view := lower(buf)
+				if !slices.Equal(view, want) {
+					t.Fatalf("%s: LowerFunc = %v, reference %v", label, view, want)
+				}
+				if len(view) > 0 && &view[0] != &buf[0] {
+					t.Fatalf("%s: LowerFunc result is not a prefix view of its input", label)
+				}
+				if !slices.Equal(buf[:len(view)], view) {
+					t.Fatalf("%s: LowerFunc result differs from its input's prefix", label)
+				}
+			}
+		}
 	}
 }
