@@ -16,10 +16,15 @@ package gpu
 //     launch into a stepInstr carrying its cache line, base latency and
 //     dispatch flags, so issue and completion never switch on the op
 //     or divide by the line size;
-//   - incremental runnable-warp tracking: per-warp runnable counters
-//     roll up into per-CU counters and a live-CU count, replacing the
-//     O(all warps × all threads) anyRunnable rescan every CU did every
-//     tick;
+//   - incremental runnable and ready tracking: per-warp lane masks
+//     record which threads are runnable (steps left, not parked at a
+//     barrier) and which of those are ready (outstanding ops below the
+//     cap of the next step). Runnable warps roll up into per-CU counters
+//     and a live-CU bitmap. This replaces the O(all warps × all threads)
+//     anyRunnable rescan every CU did every tick, and the per-tick visit
+//     of every stalled lane and every idle CU. The warp draw still uses
+//     the runnable set, so the draw sequence is unchanged; only the
+//     issue walk uses the ready set;
 //   - a timing wheel (calendar queue) for completion events in place
 //     of the binary heap: O(1) push, O(1) drain of the current tick's
 //     bucket, and a bitmap scan to fast-forward e.now across idle gaps;
@@ -39,6 +44,7 @@ package gpu
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/xrand"
@@ -218,6 +224,7 @@ type exec struct {
 	lineWords      uint32
 	opLat          [8]int32
 	opFlags        [8]stepFlags
+	opCap          [8]int32
 	dropFences     bool
 
 	frame *launchFrame
@@ -230,8 +237,11 @@ type exec struct {
 	ip      []int32
 	ipEnd   []int32
 
-	// Per-thread state.
+	// Per-thread state. nextCap[tid] is the outstanding-op cap of the
+	// step at ip[tid] (see opCap); it is meaningful only while the
+	// thread is runnable.
 	outst     []int32
+	nextCap   []int32
 	atBarrier []bool
 	done      []bool
 	locs      [][]locAssign
@@ -244,16 +254,20 @@ type exec struct {
 	wgArrived []int32
 
 	// Per-warp and per-CU incremental runnable tracking. A thread is
-	// runnable iff ip < ipEnd && !atBarrier; warpMask holds one bit per
-	// lane (warps never exceed 64 lanes), cuRunnable counts resident
-	// warps with a nonzero mask, liveCUs counts CUs with a nonzero
-	// count. The scheduler consults masks and counters instead of
-	// rescanning threads, and the issue loop walks only set bits.
+	// runnable iff ip < ipEnd && !atBarrier, and ready iff it is
+	// runnable and outst < nextCap, i.e. its next step can issue this
+	// tick. warpMask and readyMask hold one bit per lane (warps never
+	// exceed 64 lanes); readyMask is always a subset of warpMask.
+	// cuRunnable counts resident warps with a nonzero warpMask, and
+	// cuLive has one bit per CU with a nonzero count. The scheduler
+	// draws warps from the runnable set, the issue loop walks only the
+	// ready lanes, and the tick visits only live CUs.
 	warpMask   []uint64
+	readyMask  []uint64
 	cuWarps    [][]int32
 	cuFree     []int32
 	cuRunnable []int32
-	liveCUs    int
+	cuLive     []uint64
 
 	caches []cuCache // stale-cache defect state; nil when bug disabled
 
@@ -321,9 +335,14 @@ func (d *Device) getExec(spec LaunchSpec, rng *xrand.Rand) *exec {
 		e.maxPressure = p.MaxPressureLat
 		e.lineWords = uint32(p.LineWords)
 		e.dropFences = d.bugs.DropFences
+		// opCap is how many ops a thread may have outstanding and still
+		// issue the step: MaxOutstanding for memory ops, none (cap 1)
+		// for a fence or barrier, which wait for every prior op, and no
+		// bound for a fence the buggy compiler dropped.
 		for op := OpLoad; op <= OpStressStore; op++ {
 			var lat int32 = 1
 			var fl stepFlags
+			opCap := int32(1)
 			switch op {
 			case OpLoad:
 				lat, fl = int32(p.LatLoad), stepMem|stepLoadLike|stepWritesReg
@@ -340,8 +359,14 @@ func (d *Device) getExec(spec LaunchSpec, rng *xrand.Rand) *exec {
 			case OpBarrier:
 				fl = stepBarrier
 			}
+			if fl&stepMem != 0 {
+				opCap = e.maxOutstanding
+			} else if fl&stepFence != 0 && e.dropFences {
+				opCap = math.MaxInt32
+			}
 			e.opLat[op] = lat
 			e.opFlags[op] = fl
+			e.opCap[op] = opCap
 		}
 		// Wheel horizon: a completion scheduled at tick T satisfies
 		// T - now <= maxLat + jitter + maxPressure (the po-loc bump of
@@ -371,6 +396,7 @@ func (d *Device) getExec(spec LaunchSpec, rng *xrand.Rand) *exec {
 		e.cuWarps = make([][]int32, p.CUs)
 		e.cuFree = make([]int32, p.CUs)
 		e.cuRunnable = make([]int32, p.CUs)
+		e.cuLive = make([]uint64, (p.CUs+63)/64)
 		if d.bugs.StaleCache {
 			e.caches = make([]cuCache, p.CUs)
 			for i := range e.caches {
@@ -433,6 +459,7 @@ func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) {
 	e.ip = growI32(e.ip, nThreads)
 	e.ipEnd = growI32(e.ipEnd, nThreads)
 	e.outst = growI32(e.outst, nThreads)
+	e.nextCap = growI32(e.nextCap, nThreads)
 	e.atBarrier = growBool(e.atBarrier, nThreads)
 	e.done = growBool(e.done, nThreads)
 	if cap(e.regs) < nThreads {
@@ -503,11 +530,11 @@ func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) {
 	}
 	if cap(e.warpMask) < f.nWarps {
 		e.warpMask = make([]uint64, f.nWarps)
+		e.readyMask = make([]uint64, f.nWarps)
 	}
 	e.warpMask = e.warpMask[:f.nWarps]
-	for w := range e.warpMask {
-		e.warpMask[w] = 0
-	}
+	e.readyMask = e.readyMask[:f.nWarps]
+	clear(e.warpMask)
 
 	for tid, p := range spec.Programs {
 		nregs := int(e.outst[tid])
@@ -528,15 +555,18 @@ func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) {
 			e.retired++
 		} else {
 			e.done[tid] = false
+			e.nextCap[tid] = e.opCap[e.code[start].op&7]
 			e.wgActive[f.wgOf[tid]]++
 			w := f.warpOf[tid]
 			e.warpMask[w] |= 1 << uint(int32(tid)-f.warpStart[w])
 		}
 	}
+	// With nothing outstanding, every runnable thread is ready.
+	copy(e.readyMask, e.warpMask)
 
 	// CU state: copy the cached admission plan and roll runnable
 	// counters up from the warps.
-	e.liveCUs = 0
+	clear(e.cuLive)
 	for c := range e.cuWarps {
 		init := f.cuWarps0[c]
 		if cap(e.cuWarps[c]) < len(init) {
@@ -553,7 +583,7 @@ func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) {
 		}
 		e.cuRunnable[c] = run
 		if run > 0 {
-			e.liveCUs++
+			e.cuLive[c>>6] |= 1 << (uint(c) & 63)
 		}
 		if e.caches != nil {
 			cc := &e.caches[c]
@@ -611,35 +641,58 @@ func (e *exec) result() *RunResult {
 	return &e.res
 }
 
-// ---- incremental runnable tracking ----
+// ---- incremental runnable and ready tracking ----
 
 // decRunnable records that thread tid stopped being runnable (its ip
-// reached ipEnd or it parked at a barrier).
+// reached ipEnd or it parked at a barrier); it is no longer ready.
 func (e *exec) decRunnable(tid int32) {
 	w := e.frame.warpOf[tid]
-	m := e.warpMask[w] &^ (1 << uint(tid-e.frame.warpStart[w]))
+	bit := uint64(1) << uint(tid-e.frame.warpStart[w])
+	e.readyMask[w] &^= bit
+	m := e.warpMask[w] &^ bit
 	e.warpMask[w] = m
 	if m == 0 {
 		c := e.wgCU[e.frame.warpWG[w]]
 		e.cuRunnable[c]--
 		if e.cuRunnable[c] == 0 {
-			e.liveCUs--
+			e.cuLive[c>>6] &^= 1 << (uint(c) & 63)
 		}
 	}
 }
 
 // incRunnable records that thread tid became runnable again (barrier
-// release with instructions remaining).
+// release with instructions remaining), and ready if its next step has
+// headroom. Releases are rare, so the cap is decoded here rather than
+// when the thread parked.
 func (e *exec) incRunnable(tid int32) {
 	w := e.frame.warpOf[tid]
 	if e.warpMask[w] == 0 {
 		c := e.wgCU[e.frame.warpWG[w]]
 		if e.cuRunnable[c] == 0 {
-			e.liveCUs++
+			e.cuLive[c>>6] |= 1 << (uint(c) & 63)
 		}
 		e.cuRunnable[c]++
 	}
-	e.warpMask[w] |= 1 << uint(tid-e.frame.warpStart[w])
+	bit := uint64(1) << uint(tid-e.frame.warpStart[w])
+	e.warpMask[w] |= bit
+	e.nextCap[tid] = e.opCap[e.code[e.ip[tid]].op&7]
+	if e.outst[tid] < e.nextCap[tid] {
+		e.readyMask[w] |= bit
+	}
+}
+
+// advance moves thread tid past the step at ip it just issued: it
+// stops being runnable at the end of its program, and otherwise takes
+// on the next step's outstanding-op cap. The caller clears the lane's
+// ready bit if the cap is already reached.
+func (e *exec) advance(tid, ip int32) {
+	next := ip + 1
+	e.ip[tid] = next
+	if next == e.ipEnd[tid] {
+		e.decRunnable(tid)
+		return
+	}
+	e.nextCap[tid] = e.opCap[e.code[next].op&7]
 }
 
 // cancelCheckSteps is the executor's cancellation poll granularity:
@@ -673,77 +726,94 @@ func (e *exec) run() error {
 			// failure instead of spinning toward the simulation bound.
 			return &DeviceError{Kind: FaultHang, Device: e.d.prof.ShortName, Tick: e.now}
 		}
-		// Drain this tick's completions in one batch. Events are never
-		// scheduled in the past and e.now only lands on ticks that hold
-		// work, so the current bucket is the entire ≤ now backlog.
-		// complete() never schedules new events, so iterating the
-		// detached slice is safe.
-		if e.pendingEvents > 0 {
-			b := int(e.now & e.wheelMask)
-			if e.bucketBits[b>>6]&(1<<(uint(b)&63)) != 0 && e.bucketTime[b] == e.now {
-				evs := e.buckets[b]
-				e.buckets[b] = evs[:0]
-				e.bucketBits[b>>6] &^= 1 << (uint(b) & 63)
-				e.pendingEvents -= len(evs)
-				for _, ev := range evs {
-					e.complete(ev.tid, ev.code)
-				}
-			}
-		}
-		issued := false
-		if e.liveCUs > 0 {
-			for c := range e.cuWarps {
-				if e.cuRunnable[c] == 0 {
-					continue
-				}
-				cand := e.candBuf[:0]
-				for _, w := range e.cuWarps[c] {
-					if e.warpMask[w] != 0 {
-						cand = append(cand, w)
-					}
-				}
-				e.candBuf = cand
-				// cuRunnable > 0 guarantees candidates; Intn(0) would
-				// panic loudly on a bookkeeping bug.
-				w := cand[e.rng.Intn(len(cand))]
-				if e.issueWarp(w, int32(c)) {
-					issued = true
-				}
-			}
-		}
-		if issued {
-			e.now++
-			continue
-		}
-		if e.pendingEvents > 0 {
-			// Fast-forward across the idle gap to the next completion.
-			e.now = e.nextEventTime()
-			continue
-		}
-		if e.retired < total {
-			return fmt.Errorf("gpu: deadlock at tick %d: %d/%d threads retired",
-				e.now, e.retired, total)
+		if err := e.tick(); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// issueWarp walks the drawn warp's runnable threads in lane order,
-// issuing at most one instruction per thread. The runnable mask makes
-// done and barrier-parked lanes — the dominant case in the steady
-// state — cost nothing: the loop touches only set bits. The mask is
-// re-read every step because a barrier retiring mid-warp releases
-// parked lanes; the passed boundary restricts the re-read to lanes
-// after the releasing one, matching the old sequential scan, where
-// earlier lanes had already taken (and failed) their turn this tick.
-func (e *exec) issueWarp(w, c int32) bool {
+// tick advances the simulation by one scheduler step: it drains the
+// current tick's completions, lets every live CU draw one runnable warp
+// and issue its ready lanes, then moves e.now to the next tick that
+// holds work.
+func (e *exec) tick() error {
+	// Drain this tick's completions in one batch. Events are never
+	// scheduled in the past and e.now only lands on ticks that hold
+	// work, so the current bucket is the entire ≤ now backlog.
+	// complete() never schedules new events, so iterating the detached
+	// slice is safe.
+	if e.pendingEvents > 0 {
+		b := int(e.now & e.wheelMask)
+		if e.bucketBits[b>>6]&(1<<(uint(b)&63)) != 0 && e.bucketTime[b] == e.now {
+			evs := e.buckets[b]
+			e.buckets[b] = evs[:0]
+			e.bucketBits[b>>6] &^= 1 << (uint(b) & 63)
+			e.pendingEvents -= len(evs)
+			for _, ev := range evs {
+				e.complete(ev.tid, ev.code)
+			}
+		}
+	}
+	// Visit live CUs in ascending order. Issuing on a CU changes only
+	// that CU's liveness (its own warps, barriers and admissions), so
+	// a snapshot of each bitmap word serves the whole pass.
 	issued := false
+	for wi, word := range e.cuLive {
+		for word != 0 {
+			c := wi<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			// The draw is over runnable warps, not ready ones: a warp
+			// whose lanes all wait on outstanding ops still takes its
+			// turn (and issues nothing), which keeps the frozen
+			// Intn(len(cand)) sequence.
+			cand := e.candBuf[:0]
+			for _, w := range e.cuWarps[c] {
+				if e.warpMask[w] != 0 {
+					cand = append(cand, w)
+				}
+			}
+			e.candBuf = cand
+			// A live CU has candidates; Intn(0) would panic loudly on a
+			// bookkeeping bug.
+			w := cand[e.rng.Intn(len(cand))]
+			if e.issueWarp(w) {
+				issued = true
+			}
+		}
+	}
+	if issued {
+		e.now++
+		return nil
+	}
+	if e.pendingEvents > 0 {
+		// Fast-forward across the idle gap to the next completion.
+		e.now = e.nextEventTime()
+		return nil
+	}
+	if total := len(e.ip); e.retired < total {
+		return fmt.Errorf("gpu: deadlock at tick %d: %d/%d threads retired",
+			e.now, e.retired, total)
+	}
+	return nil
+}
+
+// issueWarp walks the drawn warp's ready lanes in lane order, issuing
+// one instruction per lane. Lanes that are done, parked at a barrier
+// or stalled on outstanding ops — the dominant case in the steady
+// state — are not in the ready mask, so the loop touches only lanes
+// that issue. The mask is re-read every step because a barrier
+// retiring mid-warp releases parked lanes; the passed boundary
+// restricts the re-read to lanes after the releasing one, matching the
+// old sequential scan, where earlier lanes had already taken their
+// turn this tick.
+func (e *exec) issueWarp(w int32) bool {
 	start := e.frame.warpStart[w]
 	var passed uint64 // lanes at or below the scan point
 	for {
-		m := e.warpMask[w] &^ passed
+		m := e.readyMask[w] &^ passed
 		if m == 0 {
-			return issued
+			return passed != 0
 		}
 		lane := bits.TrailingZeros64(m)
 		passed |= (2 << uint(lane)) - 1
@@ -751,53 +821,37 @@ func (e *exec) issueWarp(w, c int32) bool {
 		ip := e.ip[tid]
 		in := &e.code[ip]
 		if in.flags&stepMem != 0 {
-			if e.outst[tid] >= e.maxOutstanding {
-				continue
-			}
 			e.issueMem(tid, ip, in)
-			issued = true
-			continue
+		} else {
+			e.issueSync(tid, ip, in)
 		}
-		if e.issueSync(tid, ip, in) {
-			issued = true
+		// The lane stays ready only if its next step has headroom. A
+		// lane that finished or parked is already clear, and its stale
+		// cap can at most clear the bit again.
+		if e.outst[tid] >= e.nextCap[tid] {
+			e.readyMask[w] &^= 1 << uint(lane)
 		}
 	}
 }
 
-// issueSync processes a fence or barrier step at the front of thread
-// tid's program; it returns whether the step retired this tick.
-func (e *exec) issueSync(tid, ip int32, in *stepInstr) bool {
+// issueSync processes a ready fence or barrier step at the front of
+// thread tid's program. Readiness means nothing is outstanding, unless
+// the fence was dropped.
+func (e *exec) issueSync(tid, ip int32, in *stepInstr) {
 	if in.flags&stepFence != 0 {
 		if e.dropFences {
 			// The buggy compiler erased the fence's memory semantics;
 			// it costs an issue slot but orders nothing.
-			e.ip[tid] = ip + 1
-			if ip+1 == e.ipEnd[tid] {
-				e.decRunnable(tid)
-			}
 			e.stats.DroppedFences++
-			e.stats.Instructions++
-			e.maybeRetire(tid)
-			return true
-		}
-		if e.outst[tid] > 0 {
-			return false // fence waits for all prior ops to complete
-		}
-		if e.tracing {
+		} else if e.tracing {
 			e.emit(TraceEvent{Tick: e.now, Thread: tid, Index: ip - e.ipStart[tid], Kind: TraceIssue, Op: OpFence})
 		}
-		e.ip[tid] = ip + 1
-		if ip+1 == e.ipEnd[tid] {
-			e.decRunnable(tid)
-		}
+		e.advance(tid, ip)
 		e.stats.Instructions++
 		e.maybeRetire(tid)
-		return true
+		return
 	}
 	// Barrier.
-	if e.outst[tid] > 0 {
-		return false // barrier implies fence ordering
-	}
 	if e.tracing {
 		e.emit(TraceEvent{Tick: e.now, Thread: tid, Index: ip - e.ipStart[tid], Kind: TraceIssue, Op: OpBarrier})
 	}
@@ -808,11 +862,10 @@ func (e *exec) issueSync(tid, ip int32, in *stepInstr) bool {
 	e.decRunnable(tid)
 	e.wgArrived[wg]++
 	e.releaseBarrierIfReady(wg)
-	return true
 }
 
-// issueMem issues one memory operation whose MaxOutstanding headroom
-// the caller already checked.
+// issueMem issues one memory operation of a ready thread, which has
+// MaxOutstanding headroom by definition.
 func (e *exec) issueMem(tid, ip int32, in *stepInstr) {
 	line := in.line
 	lat, pstall := e.latency(in, line)
@@ -851,11 +904,8 @@ func (e *exec) issueMem(tid, ip int32, in *stepInstr) {
 	if e.tracing {
 		e.emit(TraceEvent{Tick: e.now, Thread: tid, Index: ip - e.ipStart[tid], Kind: TraceIssue, Op: in.op, Addr: in.addr})
 	}
-	e.ip[tid] = ip + 1
-	if ip+1 == e.ipEnd[tid] {
-		e.decRunnable(tid)
-	}
 	e.outst[tid]++
+	e.advance(tid, ip)
 	e.inFlight++
 	if e.inFlight > e.stats.MaxGlobalInFlight {
 		e.stats.MaxGlobalInFlight = e.inFlight
@@ -928,6 +978,12 @@ func (e *exec) complete(tid, code int32) {
 	}
 	if e.tracing {
 		e.emit(TraceEvent{Tick: e.now, Thread: tid, Index: code - e.ipStart[tid], Kind: TraceComplete, Op: in.op, Addr: in.addr, Value: traced})
+	}
+	// Freeing the slot the thread's next step was waiting for makes it
+	// ready again, if it is still runnable.
+	if e.outst[tid] == e.nextCap[tid] {
+		w := e.frame.warpOf[tid]
+		e.readyMask[w] |= e.warpMask[w] & (1 << uint(tid-e.frame.warpStart[w]))
 	}
 	e.outst[tid]--
 	e.inFlight--
@@ -1081,7 +1137,7 @@ func (e *exec) admit(wg, c int32) {
 		e.cuWarps[c] = append(e.cuWarps[c], w)
 		if e.warpMask[w] != 0 {
 			if e.cuRunnable[c] == 0 {
-				e.liveCUs++
+				e.cuLive[c>>6] |= 1 << (uint(c) & 63)
 			}
 			e.cuRunnable[c]++
 		}

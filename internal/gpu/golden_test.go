@@ -31,7 +31,9 @@ import (
 // watchdog hangs, corruption, device loss), tracing, workgroup wave
 // admission, deep MaxOutstanding pipelines, single-line contention,
 // and fence/barrier-heavy control flow — warm (device reuse) as well
-// as fresh.
+// as fresh. The rand-* scenarios add seeded random programs at every
+// MaxOutstanding from 1 to 6; their entries were captured from the
+// lane-scanning executor that preceded the ready-set issue loop.
 
 // goldenHasher accumulates a deterministic fingerprint.
 type goldenHasher struct {
@@ -249,17 +251,71 @@ func wavesSpec(wgs, wgSize int) LaunchSpec {
 	return LaunchSpec{WorkgroupSize: wgSize, Workgroups: wgs, MemWords: 16, Programs: progs}
 }
 
+// randomSpec builds a seeded random launch. Each thread runs up to
+// maxLen steps drawn from all seven ops; 40% of addresses land on four
+// hot words (one cache line on every profile) so lines contend, fences
+// come in runs, and about one program in twenty is empty. No program
+// ends on a barrier: a thread whose last step is a barrier never
+// retires, so such a launch only pins the deadlock error.
+func randomSpec(seed uint64, wgs, wgSize, memWords, maxLen int) LaunchSpec {
+	r := xrand.New(seed)
+	progs := make([]Program, wgs*wgSize)
+	for tid := range progs {
+		if r.Bool(0.05) {
+			continue
+		}
+		n := 1 + r.Intn(maxLen)
+		p := make(Program, 0, n)
+		for i := 0; i < n; i++ {
+			addr := uint32(r.Intn(memWords))
+			if r.Bool(0.4) {
+				addr = uint32(r.Intn(4))
+			}
+			reg := uint16(r.Intn(4))
+			switch k := r.Intn(100); {
+			case k < 28:
+				p = append(p, Instr{Op: OpLoad, Addr: addr, Reg: reg})
+			case k < 50:
+				p = append(p, Instr{Op: OpStore, Addr: addr, Imm: r.Uint32()})
+			case k < 60:
+				p = append(p, Instr{Op: OpExchange, Addr: addr, Imm: r.Uint32(), Reg: reg})
+			case k < 66:
+				p = append(p, Instr{Op: OpStressLoad, Addr: addr})
+			case k < 72:
+				p = append(p, Instr{Op: OpStressStore, Addr: addr, Imm: r.Uint32()})
+			case k < 90 || i == n-1:
+				p = append(p, Instr{Op: OpFence})
+			default:
+				p = append(p, Instr{Op: OpBarrier})
+			}
+		}
+		progs[tid] = p
+	}
+	return LaunchSpec{WorkgroupSize: wgSize, Workgroups: wgs, MemWords: memWords, Programs: progs}
+}
+
 // --- the battery ----------------------------------------------------
 
 type goldenScenario struct {
 	name    string
 	profile string
+	maxOut  int // overrides the profile's MaxOutstanding when > 0
 	bugs    Bugs
 	faults  FaultModel
 	seed    uint64
-	runs    int // sequential runs on ONE device (covers warm reuse)
+	runs    int  // sequential runs on ONE device (covers warm reuse)
+	fresh   bool // a new device for every run instead
 	traced  bool
 	spec    LaunchSpec
+	specs   []LaunchSpec // when set, run i launches specs[i%len(specs)]
+}
+
+// launch returns the spec of run i.
+func (sc goldenScenario) launch(i int) LaunchSpec {
+	if len(sc.specs) > 0 {
+		return sc.specs[i%len(sc.specs)]
+	}
+	return sc.spec
 }
 
 func goldenScenarios() []goldenScenario {
@@ -323,15 +379,73 @@ func goldenScenarios() []goldenScenario {
 				CorruptProb: 0.2, LossAfter: 25, WatchdogTicks: 50},
 			spec: mixedSpec(4, 4)},
 	)
-	return out
+	return append(out, randomScenarios()...)
 }
 
-// runGoldenScenario executes one scenario and returns its fingerprint.
-func runGoldenScenario(t *testing.T, sc goldenScenario) string {
+// randomScenarios are seeded random programs over every profile with
+// MaxOutstanding forced to 1-6, so the issue path meets every mix of
+// pipeline-bound, fence-bound and barrier-bound lanes. Each launch
+// alternates between two shapes (one larger than the device holds, so
+// admission waves run) on a warm or a fresh device. Every injected bug
+// runs alone and combined, warm and fresh, and two variants are traced.
+func randomScenarios() []goldenScenario {
+	profiles := []string{"NVIDIA", "AMD", "Intel", "M1", "Kepler"}
+	shapes := func(seed uint64, mo int) []LaunchSpec {
+		return []LaunchSpec{
+			randomSpec(seed, 4+2*mo, 4<<(mo%4), 48, 12),
+			randomSpec(seed+1, 400, 2, 24, 6),
+		}
+	}
+	var out []goldenScenario
+	for i, name := range profiles {
+		for mo := 1; mo <= 6; mo++ {
+			seed := 6000 + uint64(10*i+mo)
+			out = append(out, goldenScenario{
+				name:    fmt.Sprintf("rand-%s-mo%d", name, mo),
+				profile: name, maxOut: mo, seed: seed, runs: 3,
+				fresh: (i+mo)%2 == 1, specs: shapes(seed, mo),
+			})
+		}
+	}
+	bugSets := []struct {
+		name string
+		bugs Bugs
+	}{
+		{"coherence-rr", Bugs{CoherenceRR: true, CoherenceRRProb: 0.3}},
+		{"stale-cache", Bugs{StaleCache: true}},
+		{"drop-fences", Bugs{DropFences: true}},
+		{"all", Bugs{CoherenceRR: true, CoherenceRRProb: 0.25, StaleCache: true, DropFences: true}},
+	}
+	for j, b := range bugSets {
+		for k, mode := range []string{"warm", "fresh"} {
+			seed := 7000 + uint64(10*j+k)
+			mo := 1 + (2*j+k)%6
+			out = append(out, goldenScenario{
+				name:    "rand-bug-" + b.name + "-" + mode,
+				profile: profiles[(j+k)%len(profiles)], maxOut: mo, bugs: b.bugs,
+				seed: seed, runs: 3, fresh: mode == "fresh", specs: shapes(seed, mo),
+			})
+		}
+	}
+	return append(out,
+		goldenScenario{name: "rand-traced", profile: "AMD", maxOut: 2, seed: 7100, runs: 2,
+			traced: true, specs: shapes(7100, 2)},
+		goldenScenario{name: "rand-traced-bugs", profile: "Intel", maxOut: 3, seed: 7101, runs: 2,
+			traced: true, bugs: Bugs{CoherenceRR: true, CoherenceRRProb: 0.3, DropFences: true},
+			specs: shapes(7101, 3)},
+	)
+}
+
+// newDevice builds the scenario's device: its profile, with
+// MaxOutstanding overridden when maxOut is set, its bugs and faults.
+func (sc goldenScenario) newDevice(t *testing.T) *Device {
 	t.Helper()
 	prof, ok := ProfileByName(sc.profile)
 	if !ok {
 		t.Fatalf("profile %q missing", sc.profile)
+	}
+	if sc.maxOut > 0 {
+		prof.MaxOutstanding = sc.maxOut
 	}
 	d, err := NewDevice(prof, sc.bugs)
 	if err != nil {
@@ -342,28 +456,43 @@ func runGoldenScenario(t *testing.T, sc goldenScenario) string {
 			t.Fatal(err)
 		}
 	}
+	return d
+}
+
+// runGoldenScenario executes one scenario and returns its fingerprint.
+func runGoldenScenario(t *testing.T, sc goldenScenario) string {
+	t.Helper()
+	d := sc.newDevice(t)
 	rng := xrand.New(sc.seed)
 	var g goldenHasher
 	for i := 0; i < sc.runs; i++ {
+		if sc.fresh && i > 0 {
+			d = sc.newDevice(t)
+		}
+		spec := sc.launch(i)
 		if sc.traced {
-			res, trace, err := d.RunTraced(sc.spec, rng)
+			res, trace, err := d.RunTraced(spec, rng)
 			if err != nil {
 				t.Fatalf("run %d: %v", i, err)
 			}
 			// Injected bugs intentionally produce traces the checker
 			// rejects (that is their point); verify clean devices only.
 			if !sc.bugs.Any() {
-				if err := VerifyTrace(sc.spec, trace); err != nil {
+				if err := VerifyTrace(spec, trace); err != nil {
 					t.Fatalf("run %d: trace does not verify: %v", i, err)
 				}
 			}
 			g.hashTrace(trace)
 			g.hashResult(res)
 		} else {
-			res, err := d.Run(sc.spec, rng)
+			res, err := d.Run(spec, rng)
 			if err != nil {
 				// Fault scenarios legitimately error; the error text
 				// (kind, transience) is part of the observable record.
+				// Anywhere else an error is an executor bug.
+				if !sc.faults.Enabled() {
+					t.Fatalf("run %d: %v", i, err)
+				}
 				g.str("err:" + err.Error())
 				g.mix()
 			} else {

@@ -102,6 +102,29 @@ func TestRandomParamsAlwaysValid(t *testing.T) {
 	}
 }
 
+// TestAffinePermSmallBijection covers the instance counts whose
+// multipliers used to be degenerate (3 panicked, 4 and 6 got the
+// identity multiplier 1): every small count gets a bijection with a
+// non-identity multiplier.
+func TestAffinePermSmallBijection(t *testing.T) {
+	for n := 1; n <= 16; n++ {
+		for seed := uint64(0); seed < 16; seed++ {
+			perm := newAffinePerm(n, xrand.New(seed))
+			if n >= 3 && perm.p < 2 {
+				t.Fatalf("n=%d seed %d: identity multiplier %d", n, seed, perm.p)
+			}
+			seen := make([]bool, n)
+			for v := 0; v < n; v++ {
+				w := perm.apply(v)
+				if w < 0 || w >= n || seen[w] {
+					t.Fatalf("n=%d seed %d: not a bijection at %d", n, seed, v)
+				}
+				seen[w] = true
+			}
+		}
+	}
+}
+
 func TestAffinePermIsBijection(t *testing.T) {
 	rng := xrand.New(5)
 	for _, n := range []int{1, 2, 7, 128, 300} {

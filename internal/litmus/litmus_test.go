@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -403,7 +404,7 @@ func TestConditionMatchesIsDeterministic(t *testing.T) {
 		o := Outcome{Regs: []mm.Val{mm.Val(v)}}
 		return c.Matches(o) == c.Matches(o)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

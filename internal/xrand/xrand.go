@@ -214,10 +214,14 @@ func GCD(a, b uint64) uint64 {
 // permutation function v -> (v*p) mod n used by the PTE thread/instance
 // assignment (Section 4.1 of the paper); the paper notes simple mappings
 // such as v -> v+1 are ineffective, so candidates near 1 and n-1 are
-// excluded when enough candidates exist.
+// excluded when enough candidates exist. For n in {3, 4, 6}, n-1 is the
+// only multiplier in [2, n), so it is returned without a draw.
 func (r *Rand) Coprime(n uint64) uint64 {
-	if n <= 2 {
+	switch n {
+	case 0, 1, 2:
 		return 1
+	case 3, 4, 6:
+		return n - 1
 	}
 	// Rejection sample; density of coprimes is at least ~1/log log n,
 	// so this terminates quickly. Cap attempts for safety.
@@ -237,5 +241,5 @@ func (r *Rand) Coprime(n uint64) uint64 {
 			return p
 		}
 	}
-	return 1
+	return n - 1 // always coprime to n
 }

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -239,8 +240,57 @@ func TestCoprimeProperty(t *testing.T) {
 		}
 		return p >= 2 && p < nn && GCD(p, nn) == 1
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(29))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// coprimeBefore is Coprime as it was before n in {3, 4, 6} were fixed
+// (it panicked on 3 and returned 1 for 4 and 6). Every other n must
+// keep its exact outputs and draws, so the PTE pairings, and the
+// goldens built on them, stay unchanged.
+func coprimeBefore(r *Rand, n uint64) uint64 {
+	if n <= 2 {
+		return 1
+	}
+	lo, hi := uint64(2), n-1
+	if n > 8 {
+		lo, hi = 3, n-2
+	}
+	for i := 0; i < 256; i++ {
+		p := lo + r.Uint64n(hi-lo)
+		if GCD(p, n) == 1 {
+			return p
+		}
+	}
+	for p := lo; p < hi; p++ {
+		if GCD(p, n) == 1 {
+			return p
+		}
+	}
+	return 1
+}
+
+func TestCoprimeSmall(t *testing.T) {
+	for n := uint64(3); n <= 16; n++ {
+		for seed := uint64(0); seed < 64; seed++ {
+			r := New(seed)
+			p := r.Coprime(n)
+			if p < 2 || p >= n || GCD(p, n) != 1 {
+				t.Fatalf("Coprime(%d) seed %d = %d, want a multiplier in [2, %d) coprime to it", n, seed, p, n)
+			}
+			switch n {
+			case 3, 4, 6:
+				if p != n-1 {
+					t.Fatalf("Coprime(%d) = %d, want the only multiplier %d", n, p, n-1)
+				}
+			default:
+				ref := New(seed)
+				if want := coprimeBefore(ref, n); p != want || r.Uint64() != ref.Uint64() {
+					t.Fatalf("Coprime(%d) seed %d = %d, want the unchanged %d with the same draws", n, seed, p, want)
+				}
+			}
+		}
 	}
 }
 
